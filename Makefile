@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test faults chaos cluster-chaos ingest-chaos overload-chaos gateway-chaos bench quicktest telemetry-test slo-test trace-test profile-test monitor-demo overload-demo gateway-demo profile-demo
+.PHONY: test faults chaos cluster-chaos ingest-chaos overload-chaos gateway-chaos bench quicktest telemetry-test slo-test trace-test profile-test monitor-demo overload-demo gateway-demo profile-demo perfbench
 
 test:            ## full tier-1 suite (RuntimeWarnings are errors; chaos excluded)
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest -x -q
@@ -50,6 +50,11 @@ gateway-demo:    ## run the HTTP gateway drain-under-load demo
 
 profile-demo:    ## run the alert-triggered profile-capture demo
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) examples/profiler_demo.py
+
+perfbench:       ## benchmark self-tests, then both listed workloads (seed 1, untraced)
+	$(PYTHON) -m pytest perfbench
+	$(PYTHON) perfbench/run.py --workload image_100k_sharded --seed 1 --seconds 30 --trace 0
+	$(PYTHON) perfbench/run.py --workload http_mix_10k --seed 1 --seconds 30 --trace 0
 
 bench:           ## regenerate all paper tables/figures
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -27,7 +27,7 @@ serves streamed deltas) and reports the structured request outcome;
 write-ahead delta log without a running service; ``gateway`` serves
 search/ingest over HTTP through the hardened front-end (per-tenant
 API keys, ``X-Deadline-Ms`` propagation, slowloris armor, graceful
-SIGTERM drain, swap-aware result cache); ``loadgen`` drives the
+SIGTERM drain, write-aware result cache); ``loadgen`` drives the
 service with open-loop multi-tenant traffic (``--storm 10`` for a
 10× spike, ``--flood tenant:8`` for one abusive tenant, ``--static``
 to compare against the legacy fixed cap, ``--url`` to hit a live
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     gateway = commands.add_parser(
         "gateway", help="serve search/ingest over HTTP through the "
                         "hardened gateway (wire armor, graceful "
-                        "drain, swap-aware result cache)")
+                        "drain, write-aware result cache)")
     gateway.add_argument("--data", required=True)
     gateway.add_argument("--model", required=True)
     gateway.add_argument("--host", default="127.0.0.1")

@@ -32,16 +32,40 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cosine_distances_to(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Cosine distance from one query ``vector`` to each unit-norm row.
+    """Cosine distance from a query ``vector`` to each unit-norm row.
 
-    ``rows`` must already be L2-normalized (index embeddings are).  The
-    reduction is a per-row pairwise sum over the feature axis, whose
-    result depends only on the row contents — unlike the BLAS matmul
-    path, whose kernel choice (and hence last-ulp rounding) varies with
-    the matrix shape.  That shape-independence is what lets a sharded
-    index return distances bitwise-identical to the monolithic one:
-    each shard holds a row subset, and subsetting must not move a bit.
+    ``rows`` is ``(N, d)`` and must already be L2-normalized (index
+    embeddings are).  ``vector`` is one query of ``d`` values, giving
+    ``(N,)`` distances, or a ``(B, d)`` batch, giving ``(B, N)``; row
+    ``b`` of a batch is bitwise-equal to querying ``vector[b]`` alone.
+
+    The kernel is a fixed-order accumulation over the ``d`` feature
+    columns: ``acc = col0 * q0``, then ``acc += colj * qj`` for
+    ``j = 1 .. d-1`` through one scratch buffer, then ``1 - acc``.
+    Every distance is the same sequence of IEEE multiplies and adds
+    over its own row's values, so neither the other rows (a shard's
+    subset, an appended tail) nor the memory layout of ``rows`` can
+    move a bit.  That shape-independence is what lets a sharded index
+    return distances bitwise-identical to the monolithic one.  A BLAS
+    matmul/gemv is faster per flop but picks its kernel, blocking and
+    summation order by matrix shape and alignment, so a row subset
+    rounds differently in the last ulp.  Column-major ``rows`` (the
+    index's layout) make every column a contiguous stream.
     """
-    query = normalize_rows(np.asarray(vector,
-                                      dtype=np.float64).reshape(1, -1))[0]
-    return 1.0 - np.add.reduce(rows * query, axis=1)
+    rows = np.asarray(rows, dtype=np.float64)
+    vector = np.asarray(vector, dtype=np.float64)
+    single = vector.ndim != 2
+    # A C-contiguous (B, d) block normalizes each query row exactly as
+    # a lone (1, d) query is normalized.
+    queries = normalize_rows(np.ascontiguousarray(
+        vector.reshape(1, -1) if single else vector))
+    if queries.shape[1] != rows.shape[1]:
+        raise ValueError(f"queries have {queries.shape[1]} features, "
+                         f"rows have {rows.shape[1]}")
+    acc = np.multiply(queries[:, :1], rows[:, 0])
+    scratch = np.empty_like(acc)
+    for j in range(1, rows.shape[1]):
+        np.multiply(queries[:, j:j + 1], rows[:, j], out=scratch)
+        acc += scratch
+    np.subtract(1.0, acc, out=acc)
+    return acc[0] if single else acc

@@ -5,25 +5,49 @@ layer: retrieve the closest images for an arbitrary query vector,
 optionally constrained to one semantic class (the paper's "within the
 class pizza" search).
 
-Single-query distances use a shape-stable kernel
-(:func:`~repro.retrieval.distance.cosine_distances_to`) so an index
-built over any row subset returns bitwise-identical distances for
-those rows — the invariant the sharded cluster
-(:mod:`repro.serving.cluster`) relies on to merge per-shard top-k into
-exactly the monolithic result.  Batched queries
-(:meth:`NearestNeighborIndex.query_batch`) instead use one BLAS matmul
-for throughput; their distances agree with the single-query path to
-within one ulp but are not guaranteed bit-identical.
+The exact scan has three parts:
+
+* **Storage.**  Rows are kept column-major: ``embeddings`` is one
+  Fortran-ordered ``(N, d)`` array, so each feature column is a
+  contiguous stream for the kernel.  There is exactly one copy; it is
+  writable in place, and every derived index (:meth:`subset`,
+  :meth:`clone`, :meth:`append_rows`,
+  :meth:`NearestNeighborIndex.from_normalized`) copies the bits
+  verbatim into the same layout.
+* **Kernel.**  :func:`~repro.retrieval.distance.cosine_distances_to`
+  accumulates over the ``d`` columns in a fixed order, so an index
+  built over any row subset returns bitwise-identical distances for
+  those rows -- the invariant the sharded cluster
+  (:mod:`repro.serving.cluster`) relies on to merge per-shard top-k
+  into exactly the monolithic result.
+* **Selection.**  Every row is scored in place (no gather of the
+  candidate rows); class filters and liveness masks then pick from
+  the distance vector, and :func:`~repro.retrieval.ranking.rank_items`
+  selects the top ``k`` with a partial sort that equals a stable
+  argsort.
+
+:meth:`NearestNeighborIndex.query_batch` runs the same kernel over
+bounded chunks of queries and the same selection per query, so each
+of its rows is bitwise-equal to :meth:`NearestNeighborIndex.query`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .distance import (cosine_distance_matrix, cosine_distances_to,
-                       normalize_rows)
+from .distance import cosine_distances_to, normalize_rows
+from .ranking import rank_items
 
 __all__ = ["NearestNeighborIndex"]
+
+#: Cells of one ``(queries, rows)`` distance block in
+#: :meth:`NearestNeighborIndex.query_batch` (8 MB of float64).
+_BATCH_CELLS = 1 << 20
+
+
+def _column_major(rows: np.ndarray) -> np.ndarray:
+    """A column-major float64 copy of ``rows``, bits verbatim."""
+    return np.array(rows, dtype=np.float64, order="F")
 
 
 class NearestNeighborIndex:
@@ -32,7 +56,7 @@ class NearestNeighborIndex:
     def __init__(self, embeddings: np.ndarray,
                  ids: np.ndarray | None = None,
                  class_ids: np.ndarray | None = None):
-        self.embeddings = normalize_rows(embeddings)
+        self.embeddings = _column_major(normalize_rows(embeddings))
         n = len(self.embeddings)
         self.ids = (np.arange(n) if ids is None
                     else np.asarray(ids, dtype=np.int64))
@@ -57,7 +81,7 @@ class NearestNeighborIndex:
         through disk reproduces distances bit for bit.
         """
         dup = object.__new__(cls)
-        dup.embeddings = np.asarray(embeddings, dtype=np.float64).copy()
+        dup.embeddings = _column_major(embeddings)
         if dup.embeddings.ndim != 2:
             raise ValueError("embeddings must be 2-D")
         dup.ids = np.asarray(ids, dtype=np.int64).copy()
@@ -89,7 +113,9 @@ class NearestNeighborIndex:
         """
         positions = np.asarray(positions, dtype=np.int64)
         dup = object.__new__(NearestNeighborIndex)
-        dup.embeddings = self.embeddings[positions].copy()
+        # Taking columns of the C-ordered (d, N) transpose keeps the
+        # column-major layout without an intermediate row gather.
+        dup.embeddings = np.take(self.embeddings.T, positions, axis=1).T
         if relabel is None:
             dup.ids = self.ids[positions].copy()
         else:
@@ -130,7 +156,11 @@ class NearestNeighborIndex:
         if len(ids) != len(rows):
             raise ValueError("ids must align with rows")
         dup = object.__new__(NearestNeighborIndex)
-        dup.embeddings = np.concatenate([self.embeddings, rows])
+        n = len(self.embeddings)
+        dup.embeddings = np.empty((n + len(rows), rows.shape[1]),
+                                  order="F")
+        dup.embeddings[:n] = self.embeddings
+        dup.embeddings[n:] = rows
         dup.ids = np.concatenate([self.ids, ids])
         if self.class_ids is None:
             if class_ids is not None:
@@ -164,22 +194,26 @@ class NearestNeighborIndex:
 
     def _candidates(self, k: int, class_id: int | None,
                     strict: bool,
-                    mask: np.ndarray | None = None) -> np.ndarray:
+                    mask: np.ndarray | None = None) -> np.ndarray | None:
+        """Candidate row positions, or ``None`` when every row is one."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        candidates = np.arange(len(self.embeddings))
+        keep = None
         if class_id is not None:
             if self.class_ids is None:
                 raise ValueError("index built without class metadata")
-            candidates = np.flatnonzero(self.class_ids == class_id)
+            keep = self.class_ids == class_id
         if mask is not None:
             mask = np.asarray(mask, dtype=bool)
             if len(mask) != len(self.embeddings):
                 raise ValueError("mask must align with embeddings")
-            candidates = candidates[mask[candidates]]
-        if strict and candidates.size < k:
+            keep = mask if keep is None else keep & mask
+        candidates = None if keep is None else np.flatnonzero(keep)
+        pool = (len(self.embeddings) if candidates is None
+                else candidates.size)
+        if strict and pool < k:
             raise ValueError(
-                f"k={k} exceeds the candidate pool of {candidates.size}"
+                f"k={k} exceeds the candidate pool of {pool}"
                 + ("" if class_id is None else f" for class {class_id}"))
         return candidates
 
@@ -199,9 +233,10 @@ class NearestNeighborIndex:
         pool yields an empty pair.  Pass ``strict=True`` to raise
         :class:`ValueError` instead whenever ``k`` exceeds the pool.
 
-        Ties are broken by candidate position (stable sort), so equal
-        distances resolve to the lower row — the same order the
-        cluster's merge reproduces across shards.
+        Ties are broken by candidate position (as a stable sort would),
+        so equal distances resolve to the lower row — the same order
+        the cluster's merge reproduces across shards.  NaN distances
+        (a corrupted row) rank last.
 
         ``mask`` is an optional per-row liveness filter aligned with
         the embedding rows; masked-out rows are excluded from the
@@ -225,25 +260,33 @@ class NearestNeighborIndex:
         ``(distance, position)`` lexsort.
         """
         candidates = self._candidates(k, class_id, strict, mask=mask)
-        if candidates.size == 0:
+        if candidates is not None and candidates.size == 0:
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.float64))
-        distances = cosine_distances_to(self.embeddings[candidates],
-                                        vector)
-        order = np.argsort(distances, kind="stable")[:k]
-        return candidates[order], distances[order]
+        return self._select(cosine_distances_to(self.embeddings, vector),
+                            candidates, k)
+
+    @staticmethod
+    def _select(distances: np.ndarray, candidates: np.ndarray | None,
+                k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` ``(positions, distances)`` of one row's scores."""
+        if candidates is not None:
+            distances = distances[candidates]
+        order = rank_items(distances, k)
+        positions = order if candidates is None else candidates[order]
+        return positions, distances[order]
 
     def query_batch(self, vectors: np.ndarray, k: int = 5,
                     class_id: int | None = None, strict: bool = False,
                     mask: np.ndarray | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-``k`` for a whole batch of queries in one matmul.
+        """Top-``k`` for a whole batch of queries.
 
         ``vectors`` is ``(B, d)``; returns ``(ids, distances)`` each of
-        shape ``(B, min(k, pool))``, row ``b`` being the same result
-        :meth:`query` gives for ``vectors[b]`` (distances may differ in
-        the last ulp: the batched path trades the shape-stable kernel
-        for one BLAS call over all queries).  Pool semantics match
+        shape ``(B, min(k, pool))``, row ``b`` bitwise-equal to what
+        :meth:`query` gives for ``vectors[b]``: the queries go through
+        the same kernel in chunks of at most ``_BATCH_CELLS`` distances,
+        and each row through the same selection.  Pool semantics match
         :meth:`query`: an empty pool yields ``(B, 0)`` arrays unless
         ``strict``.
         """
@@ -252,12 +295,19 @@ class NearestNeighborIndex:
             raise ValueError(
                 f"vectors must be 2-D (batch, dim); got {vectors.shape}")
         candidates = self._candidates(k, class_id, strict, mask=mask)
-        if candidates.size == 0:
-            return (np.empty((len(vectors), 0), dtype=np.int64),
-                    np.empty((len(vectors), 0), dtype=np.float64))
-        distances = cosine_distance_matrix(vectors,
-                                           self.embeddings[candidates])
-        order = np.argsort(distances, axis=1,
-                           kind="stable")[:, :min(k, candidates.size)]
-        return (self.ids[candidates[order]],
-                np.take_along_axis(distances, order, axis=1))
+        pool = (len(self.embeddings) if candidates is None
+                else candidates.size)
+        width = min(k, pool)
+        ids = np.empty((len(vectors), width), dtype=np.int64)
+        distances = np.empty((len(vectors), width), dtype=np.float64)
+        if width == 0:
+            return ids, distances
+        chunk = max(1, _BATCH_CELLS // len(self.embeddings))
+        for start in range(0, len(vectors), chunk):
+            block = cosine_distances_to(self.embeddings,
+                                        vectors[start:start + chunk])
+            for row, scores in enumerate(block, start):
+                positions, distances[row] = self._select(
+                    scores, candidates, k)
+                ids[row] = self.ids[positions]
+        return ids, distances

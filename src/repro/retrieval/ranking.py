@@ -31,8 +31,23 @@ def ranks_of_matches(distances: np.ndarray) -> np.ndarray:
 
 
 def rank_items(distances_row: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Candidate indices sorted by increasing distance (top-``k``)."""
-    order = np.argsort(distances_row, kind="stable")
-    if k is not None:
-        order = order[:k]
-    return order
+    """Candidate indices sorted by increasing distance (top-``k``).
+
+    Always equal to ``np.argsort(distances_row, kind="stable")[:k]``:
+    ties break by index, NaN sorts last and ``-0.0`` ties with ``0.0``.
+    For ``0 < k < len(distances_row)`` it gets there without a full
+    sort: one ``argpartition`` finds the ``k``-th smallest distance,
+    and only the candidates at or below it are sorted.  This is the one
+    top-k selection the index and the delta overlay rank with.
+    """
+    distances_row = np.asarray(distances_row)
+    if k is None or not 0 < k < len(distances_row):
+        return np.argsort(distances_row, kind="stable")[:k]
+    kth = distances_row[np.argpartition(distances_row, k - 1)[k - 1]]
+    if np.isnan(kth):
+        # Fewer than k non-NaN candidates: every one of them is in,
+        # followed by NaN rows in index order -- the full sort's tail.
+        return np.argsort(distances_row, kind="stable")[:k]
+    pool = np.flatnonzero(distances_row <= kth)
+    # ``pool`` ascends, so a stable sort breaks ties by index.
+    return pool[np.argsort(distances_row[pool], kind="stable")[:k]]

@@ -31,7 +31,7 @@ Production containment around :class:`~repro.core.engine.RecipeSearchEngine`:
   together with admission control and structured outcome records;
 * :mod:`~repro.serving.gateway` — the hardened stdlib HTTP front-end:
   wire armor (timeouts, size bounds, slowloris reaper,
-  shed-at-accept), graceful SIGTERM drain, and a swap-aware LRU+TTL
+  shed-at-accept), graceful SIGTERM drain, and a write-aware LRU+TTL
   result cache with stale-while-revalidate under brownout;
 * :mod:`~repro.serving.netfaults` — real-socket misbehaving clients
   (slowloris, mid-response resets, connection floods, truncated

@@ -676,14 +676,15 @@ class IndexCluster:
     def query_batch(self, vectors: np.ndarray, k: int = 5,
                     class_id: int | None = None, strict: bool = False,
                     deadline: Deadline | None = None) -> ClusterResult:
-        """Batched fan-out: one matmul per shard for many queries.
+        """Batched fan-out: one batched scan per shard for many queries.
 
         Returns a :class:`ClusterResult` whose ``ids``/``distances``
         are ``(B, k')`` matrices (rows align with ``vectors``).  The
         batch path reuses the failover chain but not hedging — bulk
         scoring is throughput-bound, and its per-shard latency is the
-        matmul, not a straggler replica.  Distances match the
-        single-query fan-out to within one ulp (BLAS batch kernel).
+        scan, not a straggler replica.  Each row is bitwise-equal to
+        the single-query fan-out: the shard indexes' ``query_batch``
+        runs the same kernel and selection as ``query``.
         """
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:

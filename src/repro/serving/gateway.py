@@ -20,11 +20,12 @@ path as crash-only as the service behind it.  Stdlib-only (raw
   with ``Connection: close``), syncs the ingest WAL, flushes
   telemetry, and returns — crash-only exit, restart recovers via the
   existing WAL replay;
-* **swap-aware result cache** — :class:`ResultCache`, LRU+TTL keyed
-  on ``(tenant, query fingerprint)`` with the serving generation
-  stored per entry: a hot-swap invalidates implicitly because a
-  generation mismatch is never served as fresh.  Under brownout or an
-  open breaker the gateway may serve an expired or past-generation
+* **write-aware result cache** — :class:`ResultCache`, LRU+TTL keyed
+  on ``(tenant, query fingerprint)`` with the service's freshness
+  token (serving generation, acknowledged writes) stored per entry: a
+  hot-swap, compaction, ingest or delete invalidates implicitly
+  because a token mismatch is never served as fresh.  Under brownout
+  or an open breaker the gateway may serve an expired or past-token
   entry flagged ``stale: true`` (*stale-while-revalidate*) instead of
   failing the caller;
 * **observability** — request/connection/cache metrics in the shared
@@ -108,7 +109,7 @@ class CacheConfig:
     """Result-cache knobs.
 
     ``ttl_s`` bounds how long an entry may be served as *fresh*;
-    ``stale_ttl_s`` extends past that (and past a generation bump) how
+    ``stale_ttl_s`` extends past that (and past a token change) how
     long it may still be served as an explicitly flagged stale answer
     under brownout/breaker-open.  ``capacity`` is entries, evicted LRU.
     """
@@ -278,28 +279,32 @@ def parse_deadline_header(raw: str | None, max_deadline_ms: float
 
 
 # ----------------------------------------------------------------------
-# Swap-aware LRU+TTL result cache
+# Write-aware LRU+TTL result cache
 # ----------------------------------------------------------------------
 class _CacheEntry:
-    __slots__ = ("body", "generation", "stored_at")
+    __slots__ = ("body", "token", "stored_at")
 
-    def __init__(self, body: dict, generation: int, stored_at: float):
+    def __init__(self, body: dict, token, stored_at: float):
         self.body = body
-        self.generation = generation
+        self.token = token
         self.stored_at = stored_at
 
 
 class ResultCache:
     """LRU+TTL cache of serialized search responses, per tenant.
 
-    Keys are ``(tenant, query fingerprint)``; the generation that
-    produced an entry is stored *in* the entry and compared at read
-    time, so a hot-swap invalidates the whole cache implicitly — a
-    past-generation entry can never be served as fresh.  ``get`` with
+    Keys are ``(tenant, query fingerprint)``; the freshness token an
+    entry was computed under is stored *in* the entry and compared for
+    equality at read time.  The gateway passes the service's
+    :attr:`~repro.serving.service.ResilientSearchService.cache_token`
+    (generation, acknowledged writes), read *before* the search runs,
+    so any hot-swap, compaction, ingest or delete — including one that
+    races the search — invalidates every earlier entry implicitly: a
+    past-token entry can never be served as fresh.  ``get`` with
     ``allow_stale=True`` (the gateway sets it only under brownout or
-    an open breaker) may instead return an expired or past-generation
-    entry within ``stale_ttl_s`` of its expiry, tagged ``"stale"`` so
-    the caller can flag it on the wire.  Thread-safe.
+    an open breaker) may instead return an expired or past-token entry
+    within ``stale_ttl_s`` of its expiry, tagged ``"stale"`` so the
+    caller can flag it on the wire.  Thread-safe.
     """
 
     def __init__(self, config: CacheConfig | None = None, *,
@@ -336,7 +341,7 @@ class ResultCache:
         # small fixed per-entry overhead for the entry + key tuple.
         return ring_bytes(bodies) + len(bodies) * 96
 
-    def get(self, tenant: str, fingerprint: str, generation: int, *,
+    def get(self, tenant: str, fingerprint: str, token, *,
             allow_stale: bool = False) -> tuple[dict, str] | None:
         """Look up one query; ``(body, "fresh"|"stale")`` or ``None``."""
         key = (tenant, fingerprint)
@@ -352,7 +357,7 @@ class ResultCache:
                 del self._entries[key]
                 self._event("miss")
                 return None
-            fresh = (entry.generation == generation
+            fresh = (entry.token == token
                      and age <= self.config.ttl_s)
             if fresh:
                 self._entries.move_to_end(key)
@@ -364,11 +369,11 @@ class ResultCache:
             self._event("miss")
             return None
 
-    def put(self, tenant: str, fingerprint: str, generation: int,
+    def put(self, tenant: str, fingerprint: str, token,
             body: dict) -> None:
         key = (tenant, fingerprint)
         with self._lock:
-            self._entries[key] = _CacheEntry(dict(body), generation,
+            self._entries[key] = _CacheEntry(dict(body), token,
                                              self._clock())
             self._entries.move_to_end(key)
             self._event("store")
@@ -1038,7 +1043,7 @@ class Gateway:
         """Is the backend shedding quality (brownout or open breaker)?
 
         This is the *only* condition under which an expired or
-        past-generation cache entry may be served.
+        past-token cache entry may be served.
         """
         brownout = self.service.admission.brownout
         if brownout is not None and brownout.level > 0:
@@ -1056,11 +1061,13 @@ class Gateway:
             headers.get("x-deadline-ms"), self.config.max_deadline_ms)
         normalized = normalize_search_request(self._json_body(request))
         fingerprint = query_fingerprint(normalized)
-        generation = self.service.generation
+        # Read before the search: a write racing it leaves the stored
+        # entry behind the live token, so it is never served fresh.
+        token = self.service.cache_token
         cache_on = self.config.cache.enabled and \
             headers.get("cache-control", "").lower() != "no-cache"
         if cache_on:
-            cached = self.cache.get(tenant, fingerprint, generation)
+            cached = self.cache.get(tenant, fingerprint, token)
             if cached is not None:
                 body = cached[0]
                 body["cache"] = "hit"
@@ -1073,15 +1080,14 @@ class Gateway:
         if response.ok:
             body = self._search_body(response)
             if cache_on and outcome.status == "ok":
-                self.cache.put(tenant, fingerprint,
-                               outcome.generation, body)
+                self.cache.put(tenant, fingerprint, token, body)
             body["cache"] = "miss"
             return 200, body, {"X-Cache": "miss"}
         # The live path failed.  Under brownout/breaker-open an
-        # expired or past-generation entry beats an error page —
+        # expired or past-token entry beats an error page —
         # stale-while-revalidate, explicitly flagged.
         if cache_on and self._degradation_active():
-            stale = self.cache.get(tenant, fingerprint, generation,
+            stale = self.cache.get(tenant, fingerprint, token,
                                    allow_stale=True)
             if stale is not None:
                 body = stale[0]

@@ -44,6 +44,7 @@ from ..data.schema import Recipe
 from ..obs import Telemetry
 from ..retrieval.distance import cosine_distances_to, normalize_rows
 from ..retrieval.index import NearestNeighborIndex
+from ..retrieval.ranking import rank_items
 from .sharding import merge_topk
 from .wal import DeltaLog, LogPosition, read_manifest, replay_segments
 
@@ -360,9 +361,9 @@ class DeltaOverlay:
             selector = selector & (self._class[:slots] == class_id)
         live = np.flatnonzero(selector)
         if live.size:
-            distances = cosine_distances_to(self._rows[:slots][live],
-                                            vector)
-            order = np.argsort(distances, kind="stable")[:k]
+            distances = cosine_distances_to(self._rows[:slots],
+                                            vector)[live]
+            order = rank_items(distances, k)
             delta_part = ((self.offset + live[order]).astype(np.int64),
                           distances[order])
         else:

@@ -370,6 +370,9 @@ class ResilientSearchService:
         # against each other; queries never take it.  Lock order is
         # always ingest lock -> service lock, never the reverse.
         self._ingest_lock = threading.RLock()
+        # Acknowledged ingests + deletes, bumped under the ingest lock
+        # once the write is visible to queries (see ``cache_token``).
+        self._acked_writes = 0
         self._next_request_id = 0
         self._next_ingest_id = 0
         self._status_counts: Counter[str] = Counter()
@@ -796,6 +799,18 @@ class ResilientSearchService:
         return self._active.generation
 
     @property
+    def cache_token(self) -> tuple[int, int]:
+        """``(generation, acknowledged writes)``: equal tokens mean no
+        hot-swap, compaction, ingest or delete took effect in between.
+
+        A result cache stores each answer under the token read *before*
+        the search ran.  Writes bump the count only after they are
+        visible to queries, so a write that races the search leaves
+        that entry's token behind and the entry is never served fresh.
+        """
+        return (self._active.generation, self._acked_writes)
+
+    @property
     def engine(self) -> RecipeSearchEngine:
         """The active generation's engine (read-only handle)."""
         return self._active.engine
@@ -1168,6 +1183,7 @@ class ResilientSearchService:
                         {"image": image_vec, "recipe": recipe_vec},
                         class_id=int(class_id), payload=payload)
                     self._apply_ack_to_clusters(generation, ack)
+                    self._acked_writes += 1
             except SimulatedCrash:
                 raise  # chaos-suite process death, not an outcome
             except WalWriteError as exc:
@@ -1202,6 +1218,7 @@ class ResilientSearchService:
                 with self._ingest_lock:
                     ack = self.ingestor.delete(int(item_id))
                     self._apply_ack_to_clusters(generation, ack)
+                    self._acked_writes += 1
             except SimulatedCrash:
                 raise
             except WalWriteError as exc:

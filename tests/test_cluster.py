@@ -92,8 +92,8 @@ class TestClusterQueries:
         for row, vector in enumerate(vectors):
             single = cluster.query(vector, k=5)
             assert np.array_equal(batch.ids[row], single.ids)
-            np.testing.assert_allclose(batch.distances[row],
-                                       single.distances, atol=1e-12)
+            assert (batch.distances[row].tobytes()
+                    == single.distances.tobytes())
 
 
 class TestFailoverAndRepair:

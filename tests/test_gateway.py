@@ -1,18 +1,21 @@
 """Tier-1 gateway logic tests: no sockets, no real time.
 
 The pure pieces of the HTTP gateway — request normalization, the
-query fingerprint, ``X-Deadline-Ms`` parsing, and the swap-aware
-result cache — are deterministic functions and run in the default
-suite.  Everything that needs a live socket lives in
+query fingerprint, ``X-Deadline-Ms`` parsing, and the write-aware
+result cache (also driven through the router, without a listener) —
+are deterministic and run in the default suite.  Everything that needs a live socket lives in
 ``test_gateway_chaos.py`` behind the ``gateway`` marker.
 """
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serving import ServiceConfig
-from repro.serving.gateway import (BadRequest, CacheConfig, ResultCache,
+from repro.serving import ServiceConfig, recipe_to_payload
+from repro.serving.gateway import (BadRequest, CacheConfig, Gateway,
+                                   GatewayConfig, ResultCache,
                                    SHED_STATUS_CODES, STATUS_CODES,
                                    normalize_search_request,
                                    parse_deadline_header,
@@ -249,3 +252,92 @@ def test_deadline_source_default_vs_caller(service):
     tagged = service.search_by_ingredients(
         ingredients, deadline=1.5, deadline_source="header")
     assert tagged.outcome.deadline_source == "header"
+
+
+# ----------------------------------------------------------------------
+# Write-aware cache freshness, routed without sockets
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def ingest_gateway(tmp_path):
+    dataset, featurizer = make_world(num_pairs=40)
+    service = ResilientSearchService(
+        make_engine(dataset, featurizer), ServiceConfig(deadline=2.0),
+        ingest_log=tmp_path / "wal")
+    yield dataset, service, Gateway(service, GatewayConfig())
+    service.ingestor.close()
+
+
+def _post(gateway, path, payload):
+    status, body, headers, _ = gateway._route({
+        "method": "POST", "target": path, "headers": {},
+        "body": json.dumps(payload).encode(), "version": "HTTP/1.1"})
+    return status, body, headers
+
+
+def _rows(body):
+    return [result["corpus_row"] for result in body["results"]]
+
+
+def test_cache_token_counts_only_acked_writes(ingest_gateway):
+    dataset, service, _ = ingest_gateway
+    assert service.cache_token == (0, 0)
+    assert service.delete(10 ** 6).status == "invalid"
+    assert service.cache_token == (0, 0)
+    ack = service.ingest(list(dataset.split("train"))[0])
+    assert ack.status == "ok"
+    assert service.cache_token == (0, 1)
+    assert service.delete(ack.item_id).status == "ok"
+    assert service.cache_token == (0, 2)
+
+
+def test_ingest_then_repeat_misses_and_shows_the_write(ingest_gateway):
+    dataset, _, gateway = ingest_gateway
+    query = {"recipe_id": 0, "k": 3}
+    assert _post(gateway, "/search", query)[1]["cache"] == "miss"
+    before = _post(gateway, "/search", query)[1]
+    assert before["cache"] == "hit"
+    # The query recipe itself, ingested: it ranks first for itself.
+    status, ack, _ = _post(gateway, "/ingest",
+                           {"recipe": recipe_to_payload(dataset[0])})
+    assert status == 200 and ack["status"] == "ok"
+    status, after, headers = _post(gateway, "/search", query)
+    assert status == 200 and headers["X-Cache"] == "miss"
+    assert _rows(after)[0] == ack["item_id"]
+    assert ack["item_id"] not in _rows(before)
+
+
+def test_delete_then_repeat_misses_and_shows_the_write(ingest_gateway):
+    _, _, gateway = ingest_gateway
+    query = {"recipe_id": 1, "k": 3}
+    first = _post(gateway, "/search", query)[1]
+    assert _post(gateway, "/search", query)[1]["cache"] == "hit"
+    victim = _rows(first)[0]
+    status, ack, _ = _post(gateway, "/delete", {"item_id": victim})
+    assert status == 200 and ack["status"] == "ok"
+    after = _post(gateway, "/search", query)[1]
+    assert after["cache"] == "miss"
+    assert victim not in _rows(after)
+    assert _rows(after)[:2] == _rows(first)[1:]
+
+
+def test_write_racing_a_search_leaves_no_fresh_hit(ingest_gateway,
+                                                   monkeypatch):
+    _, service, gateway = ingest_gateway
+    query = {"recipe_id": 2, "k": 3}
+    victim = _rows(_post(gateway, "/search",
+                         {**query, "k": 1})[1])[0]
+    real_search = service.search_by_recipe
+
+    def search_then_delete(*args, **kwargs):
+        response = real_search(*args, **kwargs)
+        # Acked while the search is still in flight.
+        assert service.delete(victim).status == "ok"
+        return response
+
+    monkeypatch.setattr(service, "search_by_recipe", search_then_delete)
+    raced = _post(gateway, "/search", query)[1]
+    assert raced["cache"] == "miss" and victim in _rows(raced)
+    monkeypatch.setattr(service, "search_by_recipe", real_search)
+    after = _post(gateway, "/search", query)[1]
+    assert after["cache"] == "miss"
+    assert victim not in _rows(after)

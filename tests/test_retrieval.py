@@ -10,6 +10,7 @@ from repro.retrieval import (NearestNeighborIndex, RetrievalMetrics,
                              cosine_distance, cosine_distance_matrix,
                              evaluate_embeddings, median_rank, normalize_rows,
                              rank_items, ranks_of_matches, recall_at_k)
+from repro.retrieval.distance import cosine_distances_to
 
 
 RNG = lambda seed=0: np.random.default_rng(seed)
@@ -246,8 +247,7 @@ class TestIndexBatch:
         for row, vector in enumerate(vectors):
             one_ids, one_dist = index.query(vector, k=5)
             np.testing.assert_array_equal(ids[row], one_ids)
-            np.testing.assert_allclose(dist[row], one_dist,
-                                       rtol=0, atol=1e-12)
+            assert dist[row].tobytes() == one_dist.tobytes()
 
     def test_batch_class_constraint(self):
         index = self.make()
@@ -303,6 +303,149 @@ class TestIndexSubsetClone:
         assert dup.embeddings.tobytes() == index.embeddings.tobytes()
         dup.embeddings.fill(np.nan)  # corrupting the clone ...
         assert np.isfinite(index.embeddings).all()  # ... spares the original
+
+
+class TestExactScanKernel:
+    """The fixed-order column kernel: one row's bits never depend on
+    the other rows, on their memory layout, or on the batch size."""
+
+    def rows(self, n=40, d=12, seed=5):
+        return normalize_rows(np.random.default_rng(seed).normal(
+            size=(n, d)))
+
+    def test_layout_does_not_move_a_bit(self):
+        rows = self.rows()
+        query = np.random.default_rng(6).normal(size=12)
+        c_order = cosine_distances_to(np.ascontiguousarray(rows), query)
+        f_order = cosine_distances_to(np.asfortranarray(rows), query)
+        strided = cosine_distances_to(
+            np.repeat(rows, 2, axis=0)[::2], query)
+        assert c_order.tobytes() == f_order.tobytes() == strided.tobytes()
+
+    def test_row_subsets_keep_their_bits(self):
+        rows = self.rows()
+        rng = np.random.default_rng(7)
+        query = rng.normal(size=12)
+        full = cosine_distances_to(rows, query)
+        for _ in range(20):
+            positions = np.sort(rng.choice(len(rows), size=int(
+                rng.integers(1, len(rows))), replace=False))
+            sub = cosine_distances_to(rows[positions], query)
+            assert sub.tobytes() == full[positions].tobytes()
+
+    def test_index_round_trips_keep_layout_and_bits(self):
+        rows = self.rows()
+        query = np.random.default_rng(8).normal(size=12)
+        index = NearestNeighborIndex.from_normalized(rows[:25],
+                                                     np.arange(25))
+        grown = index.append_rows(rows[25:], np.arange(25, 40))
+        adopted = NearestNeighborIndex.from_normalized(
+            np.ascontiguousarray(grown.embeddings), grown.ids)
+        sub = grown.subset(np.arange(3, 40, 4))
+        for derived in (index, grown, adopted, sub, grown.clone()):
+            assert derived.embeddings.flags.f_contiguous
+            assert derived.embeddings.flags.writeable
+        assert grown.embeddings.tobytes() == rows.tobytes()
+        assert adopted.embeddings.tobytes() == rows.tobytes()
+        want = cosine_distances_to(rows, query)
+        for derived, positions in ((grown, np.arange(40)),
+                                   (adopted, np.arange(40)),
+                                   (sub, np.arange(3, 40, 4))):
+            got = cosine_distances_to(derived.embeddings, query)
+            assert got.tobytes() == want[positions].tobytes()
+
+    def test_query_width_must_match_rows(self):
+        with pytest.raises(ValueError, match="features"):
+            cosine_distances_to(self.rows(), np.ones(13))
+        with pytest.raises(ValueError, match="features"):
+            NearestNeighborIndex(self.rows()).query(np.ones(11), k=2)
+
+    def test_batch_rows_equal_single_queries(self):
+        rows = self.rows()
+        queries = np.random.default_rng(9).normal(size=(9, 12))
+        block = cosine_distances_to(rows, queries)
+        assert block.shape == (9, 40)
+        for row, query in enumerate(queries):
+            assert (block[row].tobytes()
+                    == cosine_distances_to(rows, query).tobytes())
+
+    def test_batch_chunks_equal_single_queries(self, monkeypatch):
+        from repro.retrieval import index as index_module
+        monkeypatch.setattr(index_module, "_BATCH_CELLS", 50)
+        index = NearestNeighborIndex(self.rows(),
+                                     class_ids=np.arange(40) % 3)
+        queries = np.random.default_rng(10).normal(size=(7, 12))
+        mask = np.arange(40) % 5 != 0
+        ids, dist = index.query_batch(queries, k=6, class_id=1, mask=mask)
+        for row, query in enumerate(queries):
+            one_ids, one_dist = index.query(query, k=6, class_id=1,
+                                            mask=mask)
+            np.testing.assert_array_equal(ids[row], one_ids)
+            assert dist[row].tobytes() == one_dist.tobytes()
+
+
+class TestCorruptedIndexRanking:
+    """NaN rows rank last, by position -- what a stable argsort over
+    every candidate's distance gives."""
+
+    @staticmethod
+    def stable_reference(index, query, k):
+        distances = cosine_distances_to(index.embeddings, query)
+        order = np.argsort(distances, kind="stable")[:k]
+        return index.ids[order], distances[order]
+
+    def test_some_nan_rows_rank_after_every_finite_row(self):
+        rng = np.random.default_rng(11)
+        index = NearestNeighborIndex(rng.normal(size=(30, 6)),
+                                     ids=np.arange(100, 130))
+        index.embeddings[[2, 9, 17, 28]] = np.nan
+        query = rng.normal(size=6)
+        for k in (1, 5, 26, 27, 30, 40):
+            ids, dist = index.query(query, k=k)
+            want_ids, want_dist = self.stable_reference(index, query, k)
+            np.testing.assert_array_equal(ids, want_ids)
+            assert dist.tobytes() == want_dist.tobytes()
+        ids, dist = index.query(query, k=30)
+        np.testing.assert_array_equal(ids[-4:], [102, 109, 117, 128])
+        assert np.isnan(dist[-4:]).all() and np.isfinite(dist[:-4]).all()
+
+    def test_fully_corrupted_index_returns_rows_in_order(self):
+        index = NearestNeighborIndex(np.random.default_rng(12).normal(
+            size=(10, 4)))
+        index.embeddings.fill(np.nan)  # what IndexCorruptionFault does
+        ids, dist = index.query(np.ones(4), k=3)
+        np.testing.assert_array_equal(ids, [0, 1, 2])
+        assert np.isnan(dist).all()
+
+
+_ranked_values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.nan,
+                                  np.inf, -np.inf, 0.5 + 1e-16])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ranked_values, min_size=0, max_size=40),
+       st.integers(min_value=1, max_value=50))
+def test_property_rank_items_equals_stable_argsort(values, k):
+    """Partial selection equals a stable full sort under ties, NaN,
+    signed zeros and k at or past the row count."""
+    distances = np.array(values, dtype=np.float64)
+    got = rank_items(distances, k)
+    want = np.argsort(distances, kind="stable")[:k]
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=400),
+       st.integers(min_value=1, max_value=60),
+       st.integers(min_value=0, max_value=2 ** 16))
+def test_property_rank_items_on_quantized_distances(n, k, seed):
+    """Many exact ties (few distinct values) and scattered NaN."""
+    rng = np.random.default_rng(seed)
+    distances = rng.integers(0, 8, size=n) / 8.0
+    distances[rng.random(n) < 0.1] = np.nan
+    np.testing.assert_array_equal(
+        rank_items(distances, k),
+        np.argsort(distances, kind="stable")[:k])
 
 
 @settings(max_examples=20, deadline=None)
